@@ -160,7 +160,11 @@ module Watchdog = struct
     | Some (c, _) -> Stats.Counter.incr c
     | None -> invalid_arg ("Watchdog: unknown counter " ^ key)
 
-  let trace t fmt = Sim.Trace.emit t.wd_lp Sim.Trace.Info ~component fmt
+  (* Detection, quarantine and restart instants on the watchdog's span
+     track; callers guard with [Sim.Span.enabled] so the arguments are
+     built only while span capture is on. *)
+  let event t name args =
+    Sim.Span.emit t.wd_lp ~cat:component ~track:component ~args name
 
   let create ~control ?(period = Time.us 100) ?(miss_threshold = 3)
       ?(restart_backoff = Time.us 200) ?(max_restart_attempts = 3) () =
@@ -236,8 +240,10 @@ module Watchdog = struct
     Stats.Histogram.record t.detect_hist latency;
     Stats.Histogram.record t.reg_detect_hist latency;
     en.consec_failures <- en.consec_failures + 1;
-    trace t "detected unresponsive engine %s (miss %d, failure %d)"
-      (Engine.name en.w_eng) en.missed en.consec_failures;
+    if Sim.Span.enabled () then
+      event t "wd_detect"
+        [ ("engine", Engine.name en.w_eng); ("miss", string_of_int en.missed);
+          ("failure", string_of_int en.consec_failures) ];
     if en.consec_failures > t.max_restart_attempts then begin
       (* Escalate: repeated restarts did not stick.  Quarantine the
          engine (degraded state, operator intervention required) instead
@@ -246,9 +252,10 @@ module Watchdog = struct
       wbump t "wd_quarantines";
       if Engine.is_attached en.w_eng then
         Engine.remove (restore_group en) en.w_eng;
-      trace t "quarantined engine %s after %d failed restarts"
-        (Engine.name en.w_eng)
-        (en.consec_failures - 1)
+      if Sim.Span.enabled () then
+        event t "wd_quarantine"
+          [ ("engine", Engine.name en.w_eng);
+            ("failed_restarts", string_of_int (en.consec_failures - 1)) ]
     end
     else begin
       en.st <- Restarting;
@@ -267,8 +274,10 @@ module Watchdog = struct
           en.restarts <- en.restarts + 1;
           wbump t "wd_restarts";
           heal en ~now:(Loop.now t.wd_lp);
-          trace t "restarted engine %s (attempt %d)" (Engine.name en.w_eng)
-            en.consec_failures)
+          if Sim.Span.enabled () then
+            event t "wd_restart"
+              [ ("engine", Engine.name en.w_eng);
+                ("attempt", string_of_int en.consec_failures) ])
     end
 
   let miss t en ~now =

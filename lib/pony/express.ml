@@ -264,6 +264,14 @@ type Control.message += Pony_setup of string | Pony_ready
 
 let machine t = t.mach
 let addr t = Nic.addr t.nic
+
+(* Connection and host lifecycle instants on the host's span track;
+   callers guard with [Sim.Span.enabled] so the arguments are built only
+   while span capture is on. *)
+let lifecycle_event t name args =
+  Sim.Span.emit t.lp ~cat:"pony" ~track:(Printf.sprintf "pony/h%d" (addr t)) ~args
+    name
+
 let num_engines t = List.length t.engs
 let engine_handle t i = (List.nth t.engs i).core
 let client_id c = c.cid
@@ -853,8 +861,9 @@ let kill_conn cost conn ~reason =
     conn.state <- Dead;
     cancel_conn_timers conn;
     Stats.Counter.incr t.c_peer_death;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony" "conn %s dead: %s"
-      (conn_label conn) reason;
+    if Sim.Span.enabled () then
+      lifecycle_event t "conn_dead"
+        [ ("conn", conn_label conn); ("reason", reason) ];
     if not (Check.Invariant.sabotage "skip_peer_reclaim") then begin
       (* Credit-starved ops parked on the conn. *)
       Queue.iter
@@ -988,8 +997,9 @@ let note_peer_inc cost t ~peer ~inc =
   | Some _ ->
       Hashtbl.replace t.peer_incs peer inc;
       Stats.Counter.incr t.c_peer_restart;
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "host %d: peer %d restarted (incarnation %d)" (addr t) peer inc;
+      if Sim.Span.enabled () then
+        lifecycle_event t "peer_restart"
+          [ ("peer", string_of_int peer); ("incarnation", string_of_int inc) ];
       forget_peer cost t ~peer ~reason:"peer restarted";
       `Current
 
@@ -1556,19 +1566,20 @@ let engine_run eng () =
           (if a.total = 0 then None
            else Memory.Pool.try_alloc t.op_pool ~owner:ename ~bytes:a.total))
       (sorted_tbl eng.assembly);
-    if reclaimed > 0 then
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "engine %s epoch %d: reclaimed %d op-pool bytes from dead instance"
-        ename ep reclaimed;
+    if reclaimed > 0 && Sim.Span.enabled () then
+      lifecycle_event t "epoch_reclaim"
+        [ ("engine", ename); ("epoch", string_of_int ep);
+          ("bytes", string_of_int reclaimed) ];
     let requeued =
       List.fold_left (fun acc f -> acc + Flow.resync f ~now) 0 eng.flow_list
     in
     if requeued > 0 then begin
       Stats.Counter.incr t.c_resync;
       worked := true;
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "engine %s epoch %d: resynced flows, %d packets requeued"
-        (Engine.name eng.core) ep requeued
+      if Sim.Span.enabled () then
+        lifecycle_event t "flow_resync"
+          [ ("engine", Engine.name eng.core); ("epoch", string_of_int ep);
+            ("requeued", string_of_int requeued) ]
     end
   end;
   (* Fold queue and pool occupancy into the engine's pressure level;
@@ -1612,9 +1623,9 @@ let engine_run eng () =
              verification, so the packet is discarded before transport
              processing.  No ack advances; the sender retransmits. *)
           Stats.Counter.incr t.c_corrupt;
-          Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-            "corrupt packet dropped pkt#%d from %d" pkt.Packet.id
-            pkt.Packet.src
+          if Sim.Span.enabled () then
+            lifecycle_event t "corrupt_drop"
+              [ ("src", string_of_int pkt.Packet.src) ]
         end
         else
         match pkt.Packet.payload with
@@ -2047,8 +2058,7 @@ let drain_ring ring =
 let crash_host t =
   if t.alive then begin
     t.alive <- false;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony" "host %d crashed"
-      (addr t);
+    if Sim.Span.enabled () then lifecycle_event t "host_crash" [];
     List.iter
       (fun eng ->
         (match eng.timer with
@@ -2099,8 +2109,9 @@ let restart_host t =
   if not t.alive then begin
     t.incarnation <- t.incarnation + 1;
     t.alive <- true;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-      "host %d restarted (incarnation %d)" (addr t) t.incarnation;
+    if Sim.Span.enabled () then
+      lifecycle_event t "host_restart"
+        [ ("incarnation", string_of_int t.incarnation) ];
     List.iter
       (fun eng ->
         (* Packets that arrived while the host was down were never

@@ -1,8 +1,9 @@
 (** Virtual-time span tracing.
 
-    Structured companion to {!Trace}: subsystems record named events —
-    engine batch executions, Pony flow transmissions, upgrade phases,
-    fault injections — stamped with the virtual clock, grouped onto
+    The simulator's one tracing facility: subsystems record named events
+    — engine batch executions, Pony flow transmissions, upgrade phases,
+    fault injections, connection and host lifecycle instants — stamped
+    with the virtual clock, grouped onto
     named tracks, and exportable as Chrome trace-event JSON (loadable in
     [chrome://tracing] or ui.perfetto.dev).
 

@@ -75,18 +75,12 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  (* Fresh invariant scope before any layer registers predicates; both
-     calls are no-ops unless checking was enabled (bench --check). *)
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = Pony.Express.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ?poll_period:cfg.poll_period ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ?poll_period:cfg.poll_period 2
   in
-  let ha = mk 0 and hb = mk 1 in
+  let loop = rig.Rig.loop and fab = rig.Rig.fabric in
+  let ha = rig.Rig.hosts.(0) and hb = rig.Rig.hosts.(1) in
   let inj =
     Fault.Injector.install ~loop ~plan:cfg.plan ~fabric:fab
       ~hosts:[ Snap.Host.fault_host ha; Snap.Host.fault_host hb ]
@@ -137,13 +131,7 @@ let run (cfg : config) : result =
            done))
   done;
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
-  (* Every op completed (or was recovered after the engine crash): any
-     op-pool byte still charged — including by the crashed engine's old
-     incarnation — is a leak. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
-    [ ha; hb ];
+  ignore (Rig.finish rig);
   let expected = cfg.clients * cfg.ops_per_client in
   let sum_hosts f = f ha.Snap.Host.pony + f hb.Snap.Host.pony in
   let retransmits =
@@ -178,15 +166,7 @@ let run (cfg : config) : result =
 
 (* Byte-identical across same-seed runs: correctness counters plus the
    injected-fault log, folded into one string for the determinism
-   sweep.  Packet-id labels are stripped from log details — which of
-   two same-timestamp packets draws the lower id is schedule-dependent
-   labeling the perturbation sweep deliberately reorders, while drop
-   times and counts are not. *)
-let strip_pkt_ids detail =
-  String.split_on_char ' ' detail
-  |> List.filter (fun tok -> not (String.length tok > 4 && String.sub tok 0 4 = "pkt#"))
-  |> String.concat " "
-
+   sweep. *)
 let fingerprint (r : result) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -196,12 +176,7 @@ let fingerprint (r : result) : string =
   List.iter
     (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v))
     r.fault_counters;
-  List.iter
-    (fun (e : Fault.Log.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %s %s\n" e.Fault.Log.at e.Fault.Log.kind
-           (strip_pkt_ids e.Fault.Log.detail)))
-    (Fault.Log.entries r.fault_log);
+  Rig.fault_log_lines buf r.fault_log;
   List.iter
     (fun (addr, drops, maxq) ->
       Buffer.add_string buf (Printf.sprintf "port %d %d %d\n" addr drops maxq))

@@ -75,16 +75,12 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ?poll_period:cfg.poll_period ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ?poll_period:cfg.poll_period 2
   in
-  let ha = mk 0 and hb = mk 1 in
+  let loop = rig.Rig.loop and fab = rig.Rig.fabric in
+  let ha = rig.Rig.hosts.(0) and hb = rig.Rig.hosts.(1) in
   let host_of = function 0 -> ha | 1 -> hb | a ->
     invalid_arg (Printf.sprintf "Chaos_upgrade: no host %d" a)
   in
@@ -181,12 +177,9 @@ let run (cfg : config) : result =
            done))
   done;
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
   (* Upgrades restart engines mid-flight; restarted incarnations must
      reconcile the old ones' op-pool charges or this raises. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
-    [ ha; hb ];
+  ignore (Rig.finish rig);
   let expected = cfg.clients * cfg.ops_per_client in
   let all_reports = List.concat_map snd !reports in
   let committed =
@@ -260,26 +253,13 @@ let run (cfg : config) : result =
 
 (* Byte-identical across same-seed runs: the determinism check folds the
    fault log, the upgrade transition log, and every report into one
-   string.  Packet-id labels are stripped from log details: which of two
-   same-timestamp packets gets the lower id is schedule-dependent
-   labeling (the perturbation sweep deliberately reorders such ties),
-   while the drop times and counts are not. *)
-let strip_pkt_ids detail =
-  String.split_on_char ' ' detail
-  |> List.filter (fun tok -> not (String.length tok > 4 && String.sub tok 0 4 = "pkt#"))
-  |> String.concat " "
-
+   string. *)
 let fingerprint (r : result) : string =
   let buf = Buffer.create 4096 in
   let add_log name l =
     Buffer.add_string buf name;
     Buffer.add_char buf '\n';
-    List.iter
-      (fun (e : Fault.Log.entry) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%d %s %s\n" e.Fault.Log.at e.Fault.Log.kind
-             (strip_pkt_ids e.Fault.Log.detail)))
-      (Fault.Log.entries l)
+    Rig.fault_log_lines buf l
   in
   add_log "faults" r.fault_log;
   add_log "transitions" r.transition_log;

@@ -83,20 +83,6 @@ type result = {
   latencies : Stats.Histogram.t;
 }
 
-(* Modeled CPU burned inside engine batches (same accounting the bench
-   harness uses for its cpu_ns_per_op rows), so the steady-state window
-   can be measured in-workload. *)
-let engine_cost_sum () =
-  List.fold_left
-    (fun acc m ->
-      match m.Stats.Registry.m_kind with
-      | Stats.Registry.Histogram h
-        when String.equal m.Stats.Registry.m_name "engine_batch_cost_ns" ->
-          acc + Stats.Histogram.sum h
-      | _ -> acc)
-    0
-    (Stats.Registry.snapshot ())
-
 (* Deterministic per-driver size stream: 48-bit LCG, heavy-tailed
    90/9/1 over 64 B / 4 KiB / 64 KiB RPCs. *)
 let rpc_bytes rnd =
@@ -108,17 +94,14 @@ let rpc_bytes rnd =
   | _ -> 65536
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ~op_pool_bytes:(fun _ -> cfg.op_pool_bytes)
+      2
   in
-  let h_cli = mk 0 in
-  let h_srv = mk 1 in
+  let loop = rig.Rig.loop in
+  let h_cli = rig.Rig.hosts.(0) in
+  let h_srv = rig.Rig.hosts.(1) in
   let n = cfg.clients_per_side in
   let conns_target = n * n in
   let ramp_failures = ref 0 in
@@ -157,10 +140,10 @@ let run (cfg : config) : result =
     incr steady_total;
     if !steady_total = t0_ops then begin
       live_at_steady := count_established ();
-      snap0 := Some (Gc.minor_words (), engine_cost_sum ())
+      snap0 := Some (Gc.minor_words (), Rig.engine_batch_cost_ns ())
     end
     else if !steady_total = t1_ops then
-      snap1 := Some (Gc.minor_words (), engine_cost_sum ())
+      snap1 := Some (Gc.minor_words (), Rig.engine_batch_cost_ns ())
   in
   (* Sinks: one client per remote endpoint, parked on await_message so
      delivered payload bytes are consumed (and their pool charges
@@ -275,14 +258,7 @@ let run (cfg : config) : result =
            | exception _ -> incr ramp_failures))
   done;
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_cli.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_cli; h_srv ];
+  let pool_leak_bytes = Rig.finish rig in
   let steady_ops = max 1 (t1_ops - t0_ops) in
   let steady_gc, steady_cpu =
     match (!snap0, !snap1) with
@@ -334,17 +310,17 @@ let goodput_gbps (r : result) =
    salt legitimately flips.  What the drivers decided, and whether
    every decided op resolved cleanly, must not move. *)
 let fingerprint (r : result) : string =
-  let buf = Buffer.create 256 in
-  let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
-  add "drivers" r.n_drivers;
-  add "conns_target" r.conns_target;
-  add "ramp_failures" r.ramp_failures;
-  add "live_at_steady" r.live_at_steady;
-  add "ops_ok" r.ops_ok;
-  add "ops_failed" r.ops_failed;
-  add "closes" r.closes;
-  add "reconnects" r.reconnects;
-  add "burst_ok" r.burst_ok;
-  add "burst_failed" r.burst_failed;
-  add "pool_leak" r.pool_leak_bytes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Rig.counter_digest
+    [
+      ("drivers", r.n_drivers);
+      ("conns_target", r.conns_target);
+      ("ramp_failures", r.ramp_failures);
+      ("live_at_steady", r.live_at_steady);
+      ("ops_ok", r.ops_ok);
+      ("ops_failed", r.ops_failed);
+      ("closes", r.closes);
+      ("reconnects", r.reconnects);
+      ("burst_ok", r.burst_ok);
+      ("burst_failed", r.burst_failed);
+      ("pool_leak", r.pool_leak_bytes);
+    ]

@@ -110,17 +110,14 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ~op_pool_bytes:(fun _ -> cfg.op_pool_bytes)
+      2
   in
-  let h_guest = mk 0 in
-  let h_srv = mk 1 in
+  let loop = rig.Rig.loop and fab = rig.Rig.fabric in
+  let h_guest = rig.Rig.hosts.(0) in
+  let h_srv = rig.Rig.hosts.(1) in
   ignore
     (Snap.Host.enable_guests ~engines:cfg.mux_engines ~mode:cfg.mux_mode
        ~suspect_after:cfg.suspect_after ~quarantine_after:cfg.quarantine_after
@@ -349,7 +346,7 @@ let run (cfg : config) : result =
       ~hosts:[ Snap.Host.fault_host h_guest; Snap.Host.fault_host h_srv ]
   in
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  let pool_leak_bytes = Rig.finish rig in
   let all_tenants = Array.to_list tenant_of |> List.filter_map (fun x -> x) in
   let split p = List.filter p all_tenants in
   let victims =
@@ -375,13 +372,6 @@ let run (cfg : config) : result =
     (not cfg.byzantine)
     || (attackers_quarantined = n_attackers && max_detection <= cfg.detect_bound)
   in
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_guest; h_srv ];
   let victim_goodput_gbps =
     if !victim_last_done = 0 then 0.0
     else
@@ -434,18 +424,18 @@ let run (cfg : config) : result =
    the backend {e decided} — who was quarantined, what completed, what
    leaked — must be byte-identical. *)
 let fingerprint (r : result) : string =
-  let buf = Buffer.create 512 in
-  let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
-  add "tenants" r.n_tenants;
-  add "victims" r.n_victims;
-  add "attackers" r.n_attackers;
-  add "victim_ok" r.victim_ok;
-  add "victim_failed" r.victim_failed;
-  add "victim_violations" r.victim_violations;
-  add "attackers_quarantined" r.attackers_quarantined;
-  add "detection_ok" (if r.detection_ok then 1 else 0);
-  add "post_bad_range" r.post_bad_range;
-  add "guest_attacks" r.guest_attacks;
-  add "detached" r.detached;
-  add "pool_leak" r.pool_leak_bytes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Rig.counter_digest
+    [
+      ("tenants", r.n_tenants);
+      ("victims", r.n_victims);
+      ("attackers", r.n_attackers);
+      ("victim_ok", r.victim_ok);
+      ("victim_failed", r.victim_failed);
+      ("victim_violations", r.victim_violations);
+      ("attackers_quarantined", r.attackers_quarantined);
+      ("detection_ok", Bool.to_int r.detection_ok);
+      ("post_bad_range", r.post_bad_range);
+      ("guest_attacks", r.guest_attacks);
+      ("detached", r.detached);
+      ("pool_leak", r.pool_leak_bytes);
+    ]

@@ -77,18 +77,18 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
-  let dir = PE.Directory.create () in
-  let mk addr ~pool =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:pool ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ~op_pool_bytes:(function
+        | 0 -> cfg.aggressor_pool_bytes
+        | 1 -> cfg.server_pool_bytes
+        | _ -> 1 lsl 30)
+      3
   in
-  let h_agg = mk 0 ~pool:cfg.aggressor_pool_bytes in
-  let h_srv = mk 1 ~pool:cfg.server_pool_bytes in
-  let h_vic = mk 2 ~pool:(1 lsl 30) in
+  let loop = rig.Rig.loop in
+  let h_agg = rig.Rig.hosts.(0) in
+  let h_srv = rig.Rig.hosts.(1) in
+  let h_vic = rig.Rig.hosts.(2) in
   let offered = ref 0 in
   let agg_ok = ref 0 in
   let agg_rejected = ref 0 in
@@ -216,16 +216,8 @@ let run (cfg : config) : result =
                victim_last_done := Loop.now loop
          done));
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  let pool_leak_bytes = Rig.finish rig in
   let sum f = f h_agg.Snap.Host.pony + f h_srv.Snap.Host.pony + f h_vic.Snap.Host.pony in
-  let pool_leak_bytes =
-    sum (fun p -> Memory.Pool.in_use (PE.op_pool p))
-  in
-  (* Every op completed or was shed with its charge released; a live
-     byte now is a leak and [assert_quiesced] names the owner. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_agg; h_srv; h_vic ];
   let victim_goodput_gbps =
     if !victim_last_done = 0 then 0.0
     else
@@ -261,22 +253,22 @@ let run (cfg : config) : result =
    every semantic counter stays fixed, and the fingerprint must be a
    function of the seed alone. *)
 let fingerprint (r : result) : string =
-  let buf = Buffer.create 512 in
-  let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
-  add "offered" r.offered;
-  add "agg_ok" r.agg_ok;
-  add "agg_rejected" r.agg_rejected;
-  add "agg_timed_out" r.agg_timed_out;
-  add "agg_busy" r.agg_busy;
-  add "quota_rejected" r.quota_rejected;
-  add "ops_shed" r.ops_shed;
-  add "ops_expired" r.ops_expired;
-  add "busy_nacks" r.busy_nacks;
-  add "rx_pool_drops" r.rx_pool_drops;
-  add "zero_window_probes" r.zero_window_probes;
-  add "pressure_transitions" r.pressure_transitions;
-  add "victim_ok" r.victim_ok;
-  add "victim_failed" r.victim_failed;
-  add "pool_leak" r.pool_leak_bytes;
-  add "exhausted_escapes" r.exhausted_escapes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Rig.counter_digest
+    [
+      ("offered", r.offered);
+      ("agg_ok", r.agg_ok);
+      ("agg_rejected", r.agg_rejected);
+      ("agg_timed_out", r.agg_timed_out);
+      ("agg_busy", r.agg_busy);
+      ("quota_rejected", r.quota_rejected);
+      ("ops_shed", r.ops_shed);
+      ("ops_expired", r.ops_expired);
+      ("busy_nacks", r.busy_nacks);
+      ("rx_pool_drops", r.rx_pool_drops);
+      ("zero_window_probes", r.zero_window_probes);
+      ("pressure_transitions", r.pressure_transitions);
+      ("victim_ok", r.victim_ok);
+      ("victim_failed", r.victim_failed);
+      ("pool_leak", r.pool_leak_bytes);
+      ("exhausted_escapes", r.exhausted_escapes);
+    ]

@@ -160,20 +160,15 @@ let reconnect_policy =
   }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
-  let dir = PE.Directory.create () in
   let keepalive =
     { PE.ka_interval = cfg.ka_interval; ka_miss_budget = cfg.ka_miss_budget }
   in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~keepalive ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode ~keepalive 3
   in
-  let h0 = mk 0 and h1 = mk 1 and h_srv = mk server_addr in
-  let hosts = [ h0; h1; h_srv ] in
+  let loop = rig.Rig.loop and fab = rig.Rig.fabric in
+  let h_srv = rig.Rig.hosts.(server_addr) in
+  let hosts = Array.to_list rig.Rig.hosts in
   let plan =
     Fault.Plan.make ~seed:cfg.seed
       (List.map
@@ -343,15 +338,11 @@ let run (cfg : config) : result =
            | _ -> ());
            incr victims_finished))
   in
-  victim h0 "victim0";
-  victim h1 "victim1";
+  victim rig.Rig.hosts.(0) "victim0";
+  victim rig.Rig.hosts.(1) "victim1";
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  let pool_leak_bytes = Rig.finish rig in
   let sum f = List.fold_left (fun acc h -> acc + f h.Snap.Host.pony) 0 hosts in
-  let pool_leak_bytes = sum (fun p -> Memory.Pool.in_use (PE.op_pool p)) in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    hosts;
   let bound = resolution_bound ~cfg ~policy:send_policy in
   let o_bound = outage_bound ~cfg in
   {
@@ -393,19 +384,19 @@ let run (cfg : config) : result =
    application-visible outcome stays fixed.  The fingerprint sticks to
    the outcomes the workload promises. *)
 let fingerprint (r : result) : string =
-  let buf = Buffer.create 512 in
-  let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
-  add "ops_attempted" r.ops_attempted;
-  add "ops_resolved" r.ops_resolved;
-  add "echo_ok" r.echo_ok;
-  add "echo_timeouts" r.echo_timeouts;
-  add "peer_dead_failures" r.peer_dead_failures;
-  add "retry_exhausted" r.retry_exhausted;
-  add "other_failures" r.other_failures;
-  add "reconnects" r.reconnects;
-  add "server_registrations" r.server_registrations;
-  add "victims_finished" r.victims_finished;
-  add "server_incarnation" r.server_incarnation;
-  add "detection_ok" (if r.detection_ok then 1 else 0);
-  add "pool_leak" r.pool_leak_bytes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Rig.counter_digest
+    [
+      ("ops_attempted", r.ops_attempted);
+      ("ops_resolved", r.ops_resolved);
+      ("echo_ok", r.echo_ok);
+      ("echo_timeouts", r.echo_timeouts);
+      ("peer_dead_failures", r.peer_dead_failures);
+      ("retry_exhausted", r.retry_exhausted);
+      ("other_failures", r.other_failures);
+      ("reconnects", r.reconnects);
+      ("server_registrations", r.server_registrations);
+      ("victims_finished", r.victims_finished);
+      ("server_incarnation", r.server_incarnation);
+      ("detection_ok", Bool.to_int r.detection_ok);
+      ("pool_leak", r.pool_leak_bytes);
+    ]

@@ -105,17 +105,14 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+  let rig =
+    Rig.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~mode:cfg.mode
+      ~op_pool_bytes:(fun _ -> cfg.op_pool_bytes)
+      2
   in
-  let h_guest = mk 0 in
-  let h_srv = mk 1 in
+  let loop = rig.Rig.loop in
+  let h_guest = rig.Rig.hosts.(0) in
+  let h_srv = rig.Rig.hosts.(1) in
   ignore (Snap.Host.enable_guests ~engines:cfg.mux_engines ~mode:cfg.mux_mode h_guest);
   let is_aggressor i = i mod cfg.aggressor_every = cfg.aggressor_every - 1 in
   let n_aggressors =
@@ -367,7 +364,7 @@ let run (cfg : config) : result =
                  | _ -> ())
                tenant_of)));
   Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  let pool_leak_bytes = Rig.finish rig in
   let all_tenants =
     Array.to_list tenant_of |> List.filter_map (fun x -> x)
   in
@@ -380,13 +377,6 @@ let run (cfg : config) : result =
         else acc)
       0 all_tenants
   in
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_guest; h_srv ];
   let committed =
     List.length
       (List.filter
@@ -444,25 +434,25 @@ let run (cfg : config) : result =
    nanoseconds under the sweep's tie-break perturbation; everything a
    tenant or the backend {e decided} must not. *)
 let fingerprint (r : result) : string =
-  let buf = Buffer.create 512 in
-  let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
-  add "tenants" r.n_tenants;
-  add "victims" r.n_victims;
-  add "aggressors" r.n_aggressors;
-  add "victim_ok" r.victim_ok;
-  add "victim_failed" r.victim_failed;
-  add "victim_retries" r.victim_retries;
-  add "agg_completed" r.agg_completed;
-  add "agg_rejected" r.agg_rejected;
-  add "agg_failed" r.agg_failed;
-  add "agg_cancelled" r.agg_cancelled;
-  add "rx_delivered" r.rx_delivered;
-  add "rx_drops" r.rx_drops;
-  add "tx_post_failures" r.tx_post_failures;
-  add "detached" r.detached;
-  add "force_detached" r.force_detached;
-  add "reclaimed_bytes" r.reclaimed_bytes;
-  add "upgrade_committed" r.upgrade_committed;
-  add "upgrade_rollbacks" r.upgrade_rollbacks;
-  add "pool_leak" r.pool_leak_bytes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Rig.counter_digest
+    [
+      ("tenants", r.n_tenants);
+      ("victims", r.n_victims);
+      ("aggressors", r.n_aggressors);
+      ("victim_ok", r.victim_ok);
+      ("victim_failed", r.victim_failed);
+      ("victim_retries", r.victim_retries);
+      ("agg_completed", r.agg_completed);
+      ("agg_rejected", r.agg_rejected);
+      ("agg_failed", r.agg_failed);
+      ("agg_cancelled", r.agg_cancelled);
+      ("rx_delivered", r.rx_delivered);
+      ("rx_drops", r.rx_drops);
+      ("tx_post_failures", r.tx_post_failures);
+      ("detached", r.detached);
+      ("force_detached", r.force_detached);
+      ("reclaimed_bytes", r.reclaimed_bytes);
+      ("upgrade_committed", r.upgrade_committed);
+      ("upgrade_rollbacks", r.upgrade_rollbacks);
+      ("pool_leak", r.pool_leak_bytes);
+    ]

@@ -7,11 +7,6 @@ module T = Sim.Time
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let mk_flow_pair () =
   let loop = Sim.Loop.create () in
   let k = { Pony.Wire.src_host = 0; src_engine = 0; dst_host = 1; dst_engine = 0 } in
@@ -35,10 +30,8 @@ let grant i = Pony.Wire.Credit_grant { conn = ck; bytes = i }
 let test_fast_retransmit () =
   (* Drop the first packet; later arrivals generate duplicate bare acks
      which must trigger a fast retransmit without waiting for the RTO.
-     Also asserts the retransmit event lands in the trace capture. *)
-  Sim.Trace.set_level (Some Sim.Trace.Info);
-  Sim.Trace.enable_component "pony.flow";
-  Sim.Trace.set_capture (Some 64);
+     Also asserts the retransmit event lands in the span capture. *)
+  Sim.Span.set_capture (Some 64);
   let _loop, a, b = mk_flow_pair () in
   let gen = Memory.Packet.Id_gen.create () in
   for i = 1 to 4 do
@@ -73,12 +66,11 @@ let test_fast_retransmit () =
   | Some ack -> ignore (Pony.Flow.on_receive a ~now:(!now + 1_000) ack)
   | None -> Alcotest.fail "expected final ack");
   check_int "flight cleared" 0 (Pony.Flow.in_flight a);
-  let lines = Sim.Trace.captured () in
   check_bool "fast-retransmit traced" true
-    (List.exists (fun l -> contains_sub l "fast-retransmit") lines);
-  Sim.Trace.set_capture None;
-  Sim.Trace.clear_components ();
-  Sim.Trace.set_level None
+    (List.exists
+       (fun e -> String.equal e.Sim.Span.ev_name "fast_retx")
+       (Sim.Span.events ()));
+  Sim.Span.set_capture None
 
 let test_rto_go_back_n () =
   (* No acks at all: the timeout must requeue a whole window and the
@@ -130,27 +122,31 @@ let test_receive_dedup () =
 
 (* -- Trace capture ------------------------------------------------------- *)
 
+(* Fault injections announce themselves as span instants on the "fault"
+   track; the ring keeps the most recent ones. *)
 let test_trace_capture () =
   let loop = Sim.Loop.create () in
-  Sim.Trace.set_level (Some Sim.Trace.Info);
-  Sim.Trace.set_capture (Some 3);
-  for i = 1 to 5 do
-    Sim.Trace.emit loop Sim.Trace.Info ~component:"test" "line %d" i
-  done;
-  let lines = Sim.Trace.captured () in
-  check_int "ring keeps the most recent" 3 (List.length lines);
-  List.iteri
-    (fun i l ->
-      check_bool "oldest was evicted" true
-        (contains_sub l (Printf.sprintf "line %d" (i + 3))))
-    lines;
-  (* Below-threshold lines are not captured. *)
-  Sim.Trace.clear_capture ();
-  Sim.Trace.emit loop Sim.Trace.Debug ~component:"test" "hidden";
-  check_int "debug filtered out" 0 (List.length (Sim.Trace.captured ()));
-  Sim.Trace.set_capture None;
-  check_int "capture off" 0 (List.length (Sim.Trace.captured ()));
-  Sim.Trace.set_level None
+  Sim.Span.set_capture (Some 3);
+  let plan =
+    Fault.Plan.make ~seed:1
+      (List.init 3 (fun i ->
+           Fault.Plan.Link_blackout
+             { a = 0; b = 1; start = T.us (10 * (i + 1)); duration = T.us 5 }))
+  in
+  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
+  ignore (Fault.Injector.install ~loop ~plan ~fabric:fab ~hosts:[]);
+  Sim.Loop.run loop;
+  let evs = Sim.Span.events () in
+  check_int "ring keeps the most recent" 3 (List.length evs);
+  List.iter
+    (fun e ->
+      check_bool "fault track" true (String.equal e.Sim.Span.ev_track "fault");
+      check_bool "instant" true (e.Sim.Span.ev_dur = None))
+    evs;
+  (* Three windows announce a start and an end each. *)
+  check_int "oldest were evicted" 3 (Sim.Span.dropped ());
+  Sim.Span.set_capture None;
+  check_int "capture off" 0 (List.length (Sim.Span.events ()))
 
 (* -- Fabric hooks and port counters -------------------------------------- *)
 

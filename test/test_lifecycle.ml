@@ -259,6 +259,7 @@ let test_keepalive_detection () =
 (* -- Host crash / restart: incarnation fencing and reconnect ------------- *)
 
 let test_crash_restart_reconnect () =
+  Sim.Span.set_capture (Some 1_000_000);
   let loop, _fab, hosts = mk_cluster () in
   let ha = List.hd hosts and hb = List.nth hosts 1 in
   let crash_at = T.ms 1 and restart_at = T.ms 2 in
@@ -352,7 +353,23 @@ let test_crash_restart_reconnect () =
   check_bool "pre-crash client did not survive" false !old_client_alive;
   check_bool "peer restart detected" true
     (PE.peer_restarts_detected ha.Snap.Host.pony >= 1);
-  check_bool "host back up" true (PE.host_alive hb.Snap.Host.pony)
+  check_bool "host back up" true (PE.host_alive hb.Snap.Host.pony);
+  (* The lifecycle shows up as span instants on each host's track. *)
+  let instants track =
+    List.filter_map
+      (fun e ->
+        if String.equal e.Sim.Span.ev_track track && e.Sim.Span.ev_dur = None
+        then Some e.Sim.Span.ev_name
+        else None)
+      (Sim.Span.events ())
+  in
+  check_int "nothing evicted" 0 (Sim.Span.dropped ());
+  check_bool "crash and restart traced" true
+    (List.mem "host_crash" (instants "pony/h1")
+    && List.mem "host_restart" (instants "pony/h1"));
+  check_bool "peer restart traced" true
+    (List.mem "peer_restart" (instants "pony/h0"));
+  Sim.Span.set_capture None
 
 (* -- Deadline-bounded awaits --------------------------------------------- *)
 

@@ -159,94 +159,47 @@ let test_loop_past_event_runs_now () =
   Sim.Loop.run loop;
   check_int "clamped to now" (Sim.Time.us 10) !at
 
-(* -- Trace ------------------------------------------------------------- *)
+(* -- Trace --------------------------------------------------------------- *)
 
-(* Every trace test restores the global filter/capture state so the rest
-   of the suite (and bench runs in the same process) see the default
-   everything-off configuration. *)
-let with_trace_reset f =
-  Fun.protect f ~finally:(fun () ->
-      Sim.Trace.set_level None;
-      Sim.Trace.clear_components ();
-      Sim.Trace.set_capture None)
+(* Former Sim.Trace call sites now emit Span instants (no duration) with
+   their details as args; the capture ring and on/off switch are the
+   span ones. *)
+let with_trace_reset f = Fun.protect f ~finally:(fun () -> Sim.Span.set_capture None)
 
-let test_trace_filtered_is_lazy () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      let ran = ref 0 in
-      let probe fmt_ppf =
-        incr ran;
-        Format.pp_print_string fmt_ppf "probe"
-      in
-      (* Level filter off (default): the %t printer must not run. *)
-      Sim.Trace.set_level None;
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer skipped when level off" 0 !ran;
-      (* Level passes but the component is filtered out. *)
-      Sim.Trace.set_level (Some Sim.Trace.Debug);
-      Sim.Trace.enable_component "other";
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer skipped when component off" 0 !ran;
-      (* Control: once the filters pass, the printer does run. *)
-      Sim.Trace.enable_component "lazy";
-      Sim.Trace.set_capture (Some 8);
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer ran when enabled" 1 !ran)
+let instant loop i =
+  Sim.Span.emit loop ~cat:"test" ~track:"ring" ~args:[ ("i", string_of_int i) ]
+    "line"
 
 let test_trace_capture_wraparound () =
   with_trace_reset (fun () ->
       let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Sim.Trace.set_capture (Some 3);
+      Sim.Span.set_capture (Some 3);
       for i = 1 to 5 do
-        Sim.Trace.emit loop Sim.Trace.Info ~component:"ring" "line %d" i
+        instant loop i
       done;
-      let got = Sim.Trace.captured () in
+      let got = Sim.Span.events () in
       check_int "ring keeps the newest 3" 3 (List.length got);
-      let has n =
-        List.exists
-          (fun l ->
-            String.length l >= String.length n
-            && String.sub l (String.length l - String.length n) (String.length n)
-               = n)
-          got
-      in
-      check_bool "line 1 evicted" false (has "line 1");
-      check_bool "line 2 evicted" false (has "line 2");
-      check_bool "line 3 kept" true (has "line 3");
-      check_bool "line 5 kept" true (has "line 5"))
-
-let test_trace_capture_component_filter () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Sim.Trace.enable_component "keep";
-      Sim.Trace.set_capture (Some 8);
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"keep" "wanted";
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"drop" "unwanted";
-      let got = Sim.Trace.captured () in
-      check_int "only the enabled component" 1 (List.length got);
-      check_bool "right line" true
-        (match got with [ l ] -> String.length l > 0 && l.[String.length l - 1] = 'd' | _ -> false))
+      Alcotest.(check (list (list (pair string string))))
+        "oldest two evicted, args kept"
+        [ [ ("i", "3") ]; [ ("i", "4") ]; [ ("i", "5") ] ]
+        (List.map (fun e -> e.Sim.Span.ev_args) got);
+      check_bool "instants carry no duration" true
+        (List.for_all (fun e -> e.Sim.Span.ev_dur = None) got))
 
 let test_trace_capture_on_off () =
   with_trace_reset (fun () ->
       let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Alcotest.(check (list string)) "off: nothing captured" []
-        (Sim.Trace.captured ());
-      Sim.Trace.set_capture (Some 4);
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"c" "one";
-      check_int "on: captured" 1 (List.length (Sim.Trace.captured ()));
-      Sim.Trace.clear_capture ();
-      Alcotest.(check (list string)) "clear keeps capture active" []
-        (Sim.Trace.captured ());
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"c" "two";
-      check_int "still capturing after clear" 1
-        (List.length (Sim.Trace.captured ()));
-      Sim.Trace.set_capture None;
-      Alcotest.(check (list string)) "off again: ring dropped" []
-        (Sim.Trace.captured ()))
+      instant loop 0;
+      check_int "off: nothing captured" 0 (List.length (Sim.Span.events ()));
+      Sim.Span.set_capture (Some 4);
+      instant loop 1;
+      check_int "on: captured" 1 (List.length (Sim.Span.events ()));
+      Sim.Span.clear ();
+      check_int "clear keeps capture active" 0 (List.length (Sim.Span.events ()));
+      instant loop 2;
+      check_int "still capturing after clear" 1 (List.length (Sim.Span.events ()));
+      Sim.Span.set_capture None;
+      check_int "off again: ring dropped" 0 (List.length (Sim.Span.events ())))
 
 (* -- Span -------------------------------------------------------------- *)
 
@@ -496,12 +449,8 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "filtered emit is lazy" `Quick
-            test_trace_filtered_is_lazy;
           Alcotest.test_case "capture wraparound" `Quick
             test_trace_capture_wraparound;
-          Alcotest.test_case "capture component filter" `Quick
-            test_trace_capture_component_filter;
           Alcotest.test_case "capture on/off" `Quick test_trace_capture_on_off;
         ] );
       ( "span",
